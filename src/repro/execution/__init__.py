@@ -33,10 +33,13 @@ from .cache import (
 )
 from .facade import (
     NAMED_PIPELINES,
+    RunPlan,
     execute,
     materialize_target,
+    plan,
     resolve_pipeline,
     result_cache_key,
+    run_identity,
 )
 from .passes import (
     ASAPReschedule,
@@ -93,9 +96,12 @@ __all__ = [
     "qutrit_promotion_pipeline",
     "hardware_pipeline",
     "execute",
+    "plan",
+    "RunPlan",
     "materialize_target",
     "resolve_pipeline",
     "result_cache_key",
+    "run_identity",
     "NAMED_PIPELINES",
     "CacheBacking",
     "ResultCache",

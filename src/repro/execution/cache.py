@@ -13,6 +13,12 @@ implementing :class:`CacheBacking` (in practice a
 through to it, promoting hits back into memory.  ``put`` writes through,
 so results survive the process — the substrate of the serving layer's
 restart story.
+
+Next to the results, each cache also memoises compiled run plans
+(:class:`repro.execution.facade.RunPlan`) in a second, smaller LRU: a
+repeated request then skips build, compile and fingerprint and goes
+straight to the result lookup.  Plans live in memory only — they are
+never written to the backing.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from typing import Hashable, Protocol, runtime_checkable
 from ..circuits.circuit import Circuit
 from ..qudits import Qudit
 from .results import RunResult
+
+#: Compiled plans one :class:`ResultCache` holds (least recently used
+#: evicted first).
+MAX_PLANS = 64
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -115,6 +125,9 @@ class CacheStats:
     #: Backing calls that raised: absorbed as misses / dropped writes,
     #: because a broken second level must never break the first.
     backing_errors: int = 0
+    #: Plan-memo lookups that found / did not find a compiled plan.
+    plan_hits: int = 0
+    plan_misses: int = 0
 
     @property
     def lookups(self) -> int:
@@ -141,6 +154,10 @@ class ResultCache:
     memory misses fall through to ``backing.get`` (hits are promoted
     into memory and counted as ``stats.backing_hits``) and ``put``
     writes through to ``backing.put``.
+
+    The same instance owns the plan memo (:meth:`get_plan` /
+    :meth:`put_plan`), bounded by :data:`MAX_PLANS` and never written
+    to ``backing``.
     """
 
     def __init__(
@@ -152,12 +169,38 @@ class ResultCache:
             raise ValueError("cache needs room for at least one entry")
         self._max_entries = max_entries
         self._entries: OrderedDict[Hashable, RunResult] = OrderedDict()
+        self._plans: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = Lock()
         self.backing = backing
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def plan_count(self) -> int:
+        """Compiled plans currently memoised."""
+        return len(self._plans)
+
+    def get_plan(self, key: Hashable) -> object | None:
+        """The memoised plan for ``key`` (refreshing its recency), or
+        None."""
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is None:
+                self.stats.plan_misses += 1
+                return None
+            self._plans.move_to_end(key)
+            self.stats.plan_hits += 1
+            return plan
+
+    def put_plan(self, key: Hashable, plan: object) -> None:
+        """Memoise ``plan``, evicting the least recently used overflow."""
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > MAX_PLANS:
+                self._plans.popitem(last=False)
 
     def get(self, key: Hashable) -> RunResult | None:
         """The cached result for ``key``, refreshing its recency."""
@@ -214,9 +257,11 @@ class ResultCache:
             self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every in-memory entry (counters and backing are kept)."""
+        """Drop every in-memory entry and plan (counters and backing
+        are kept)."""
         with self._lock:
             self._entries.clear()
+            self._plans.clear()
 
 
 #: Process-wide cache used by ``execute(..., cache=True)``.

@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..circuits.circuit import Circuit
@@ -190,10 +191,8 @@ def materialize_target(
     """Public form of the facade's target resolution.
 
     Builds the concrete circuit (and its preferred wire order, when the
-    target is a named construction) exactly the way :func:`execute`
-    would — the serving layer uses this at submit time so a job's
-    coalescing key can be derived from the circuit's canonical
-    fingerprint before any worker picks it up.
+    target is a named construction) exactly the way :func:`plan` does
+    before compiling it.
     """
     return _build_target(
         target, dict(builder_params or {}),
@@ -201,7 +200,7 @@ def materialize_target(
     )
 
 
-def result_cache_key(
+def run_identity(
     *,
     fingerprint: str,
     backend: Backend,
@@ -212,29 +211,25 @@ def result_cache_key(
     trials: int | None = None,
     seed: int | None = None,
     batch_size: int | None = None,
-) -> tuple | None:
-    """The facade's result-cache key for one fully resolved run.
+) -> tuple:
+    """Every input of one fully resolved run that can change its result.
 
-    Returns None when the run must not be cached: unseeded stochastic
-    runs are not reproducible, and ``StateVector`` initials have no
-    stable serialized identity.  The serving layer shares this function
-    so facade users and service jobs hit the same cache lines.
+    Exists for every run, cacheable or not: the serving layer digests it
+    into the coalescing key, so identical in-flight submissions share one
+    execution even when the result may not be cached.  A ``StateVector``
+    initial has no serialized identity and is keyed by object, so only
+    submissions of the very same state coalesce.
     """
-    capabilities = backend.capabilities
-    stochastic = bool(capabilities.supports_trials or shots)
-    if stochastic and seed is None:
-        return None
-    if isinstance(initial, StateVector):
-        return None
     # Backend instances may carry their own noise model (e.g. a
     # TrajectoryBackend constructed directly); key on the model actually
     # used, not just the execute() argument.
     model = getattr(backend, "noise_model", None) or noise_model
-    noise = model.name if model is not None else None
+    if isinstance(initial, StateVector):
+        initial = ("statevector", id(initial))
     return (
         fingerprint,
         backend.name,
-        noise,
+        model.name if model is not None else None,
         wires,
         initial,
         shots,
@@ -243,8 +238,172 @@ def result_cache_key(
         # Chunking changes the trajectory RNG stream, so same-seed runs
         # with different batch sizes are distinct results there; other
         # backends never see the knob, so it must not split their keys.
-        batch_size if capabilities.supports_trials else None,
+        batch_size if backend.capabilities.supports_trials else None,
     )
+
+
+def result_cache_key(**run) -> tuple | None:
+    """The facade's result-cache key for one fully resolved run.
+
+    Takes the keyword arguments of :func:`run_identity` and returns that
+    identity, or None when the run must not be cached: unseeded
+    stochastic runs are not reproducible, and ``StateVector`` initials
+    have no stable serialized identity.  The serving layer shares this
+    function so facade users and service jobs hit the same cache lines.
+    """
+    stochastic = run["backend"].capabilities.supports_trials or run.get(
+        "shots"
+    )
+    if stochastic and run.get("seed") is None:
+        return None
+    if isinstance(run.get("initial"), StateVector):
+        return None
+    return run_identity(**run)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One target built, compiled and optimized, ready to run.
+
+    ``circuit`` is what the backend executes and ``wires`` its
+    preferred wire order (None when the target names none, or routing
+    re-hosted the construction's wires).  ``fingerprint`` is the
+    circuit's canonical digest, taken only when a cache is in use.
+    ``notes`` are the compile facts :func:`execute` merges into
+    ``result.metadata``.
+    """
+
+    circuit: Circuit
+    wires: tuple[Qudit, ...] | None
+    fingerprint: str | None
+    notes: Mapping[str, object]
+
+
+def _plain(value: object) -> tuple:
+    """A hashable, type-exact form of plain data (TypeError otherwise).
+
+    Scalars are keyed by type and ``repr``, so ``3``, ``3.0`` and
+    ``True`` — equal and equal-hashing in Python — never share a key.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return (type(value).__name__, repr(value))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__,) + tuple(_plain(v) for v in value)
+    raise TypeError(f"{type(value).__name__} is not plain data")
+
+
+def _plan_key(
+    target: ExecuteTarget,
+    builder_params: Mapping,
+    prefer_undecomposed: bool,
+    pipeline: "CompilePipeline | PipelineSpec | None",
+    optimize: object,
+) -> tuple | None:
+    """The plan-memo key, or None when the inputs cannot be keyed.
+
+    Only a registry name with plain-data builder parameters, a
+    :class:`PipelineSpec` (or none) and a declarative ``optimize`` spec
+    is keyed.  Callables, concrete circuits, ``CompilePipeline`` and
+    ``RewriteEngine`` instances compile on every call.
+    """
+    if not isinstance(target, str):
+        return None
+    if pipeline is not None and not isinstance(pipeline, PipelineSpec):
+        return None
+    try:
+        return (
+            target,
+            tuple(
+                sorted((str(k), _plain(v)) for k, v in builder_params.items())
+            ),
+            prefer_undecomposed,
+            pipeline.to_json() if pipeline is not None else None,
+            _plain(optimize),
+        )
+    except TypeError:  # non-plain builder, stage or optimize values
+        return None
+
+
+def plan(
+    target: ExecuteTarget,
+    builder_params: Mapping | None = None,
+    *,
+    backend: Backend,
+    pipeline: "CompilePipeline | PipelineSpec | str | None" = None,
+    optimize: "bool | str | Sequence | object | None" = None,
+    cache: ResultCache | None = None,
+) -> RunPlan:
+    """Build, compile, optimize and fingerprint one target.
+
+    The single path from a request to a runnable circuit, shared by
+    :func:`execute` and :meth:`repro.service.JobQueue.submit`.  With a
+    ``cache`` the plan is memoised on it, keyed on the target name, the
+    builder parameters, the backend's ``classical_circuits_only``
+    preference, the pipeline spec and the ``optimize`` spec, so an
+    identical request skips straight to the result lookup.  Inputs that
+    cannot be keyed (see :func:`_plan_key`) compile on every call.
+    Without a cache nothing is memoised and no fingerprint is taken.
+    """
+    from ..optimize import resolve_engine
+
+    if not isinstance(pipeline, PipelineSpec):
+        # Specs stay unbuilt so the memo can key on them; legacy name
+        # strings go through the deprecation shim.
+        pipeline = resolve_pipeline(pipeline)
+    params = dict(builder_params or {})
+    prefer_undecomposed = backend.capabilities.classical_circuits_only
+    key = None
+    if cache is not None:
+        key = _plan_key(
+            target, params, prefer_undecomposed, pipeline, optimize
+        )
+        if key is not None:
+            memoised = cache.get_plan(key)
+            if memoised is not None:
+                return memoised
+
+    circuit, wires = _build_target(
+        target, params, prefer_undecomposed=prefer_undecomposed
+    )
+    notes: dict = {}
+    compiler = (
+        pipeline.build() if isinstance(pipeline, PipelineSpec) else pipeline
+    )
+    if compiler is not None:
+        compiled = compiler.compile(circuit)
+        circuit = compiled.circuit
+        notes = {
+            "pipeline": compiler.name,
+            "passes": compiled.pass_names,
+            "compiled_depth": compiled.depth,
+            "compiled_operations": compiled.num_operations,
+        }
+        # Routing re-hosts logical wires on physical sites, so any
+        # wire order inferred from the construction is stale.
+        if set(circuit.all_qudits()) != set(wires or circuit.all_qudits()):
+            wires = None
+    engine = resolve_engine(optimize)
+    if engine is not None:
+        circuit, opt_report = engine.run(circuit)
+        notes.update(
+            optimize_passes=tuple(p.name for p in engine.passes),
+            optimize_gates_removed=opt_report.gates_removed,
+            optimize_depth_removed=opt_report.depth_removed,
+            optimize_iterations=opt_report.iterations,
+        )
+        if opt_report.verified is not None:
+            notes["optimize_verified"] = opt_report.verified
+    run_plan = RunPlan(
+        circuit=circuit,
+        wires=tuple(wires) if wires is not None else None,
+        fingerprint=(
+            circuit_fingerprint(circuit) if cache is not None else None
+        ),
+        notes=MappingProxyType(notes),
+    )
+    if key is not None:
+        cache.put_plan(key, run_plan)
+    return run_plan
 
 
 @dataclass(frozen=True)
@@ -365,9 +524,11 @@ def execute(
     circuit's canonical identity
     (:func:`~repro.execution.cache.circuit_fingerprint`), so two
     structurally equal circuits share a cache line no matter how they
-    were built.  Worker processes receive circuits as serialized specs
-    (:meth:`Circuit.to_json`) and rebuild them through the gate
-    registry.
+    were built.  The same cache memoises each point's compiled
+    :class:`RunPlan` (see :func:`plan`), so a repeated call skips build,
+    compile and fingerprint.  Worker processes receive circuits as
+    serialized specs (:meth:`Circuit.to_json`) and rebuild them through
+    the gate registry.
 
     ``optimize`` runs the :mod:`repro.optimize` rewrite engine on each
     compiled circuit before execution: ``True`` uses the default pass
@@ -386,11 +547,7 @@ def execute(
     completes, and a run that finishes just past its deadline still
     returns (completion wins the race).
     """
-    from ..optimize import resolve_engine
-
     deadline = resolve_deadline(timeout)
-    pipeline = resolve_pipeline(pipeline)
-    engine = resolve_engine(optimize)
     backend_spec = backend
     probe = resolve_backend(backend_spec, noise_model)
     # Note: an empty ResultCache is falsy (len 0), so test identity/type
@@ -411,50 +568,22 @@ def execute(
     else:
         points = [{}]
 
-    # -- build + compile every point up front --------------------------
+    # -- plan every point up front -------------------------------------
     tasks: list[_Task] = []
-    compile_notes: list[dict] = []
+    compile_notes: list[Mapping] = []
     for index, point in enumerate(points):
         run_overrides = {k: v for k, v in point.items() if k in RUN_PARAMS}
         builder_params = dict(build_kwargs)
         builder_params.update(
             {k: v for k, v in point.items() if k not in RUN_PARAMS}
         )
-        circuit, preferred_wires = _build_target(
-            target,
-            builder_params,
-            prefer_undecomposed=probe.capabilities.classical_circuits_only,
+        run_plan = plan(
+            target, builder_params, backend=probe, pipeline=pipeline,
+            optimize=optimize, cache=cache_store,
         )
+        compile_notes.append(run_plan.notes)
 
-        note: dict = {}
-        if pipeline is not None:
-            compiled = pipeline.compile(circuit)
-            circuit = compiled.circuit
-            note = {
-                "pipeline": pipeline.name,
-                "passes": compiled.pass_names,
-                "compiled_depth": compiled.depth,
-                "compiled_operations": compiled.num_operations,
-            }
-            # Routing re-hosts logical wires on physical sites, so any
-            # wire order inferred from the construction is stale.
-            if set(circuit.all_qudits()) != set(
-                preferred_wires or circuit.all_qudits()
-            ):
-                preferred_wires = None
-        if engine is not None:
-            circuit, opt_report = engine.run(circuit)
-            note.update(
-                optimize_passes=tuple(p.name for p in engine.passes),
-                optimize_gates_removed=opt_report.gates_removed,
-                optimize_depth_removed=opt_report.depth_removed,
-                optimize_iterations=opt_report.iterations,
-            )
-            if opt_report.verified is not None:
-                note["optimize_verified"] = opt_report.verified
-        compile_notes.append(note)
-
-        point_wires = wires if wires is not None else preferred_wires
+        point_wires = wires if wires is not None else run_plan.wires
         point_seed = (
             seed
             if seed is None or not sweep
@@ -466,12 +595,8 @@ def execute(
             point_initial = tuple(point_initial)
         tasks.append(
             _Task(
-                circuit=circuit,
-                fingerprint=(
-                    circuit_fingerprint(circuit)
-                    if cache_store is not None
-                    else None
-                ),
+                circuit=run_plan.circuit,
+                fingerprint=run_plan.fingerprint,
                 backend=backend_spec,
                 noise_model=noise_model,
                 wires=tuple(point_wires) if point_wires is not None else None,

@@ -13,6 +13,8 @@ Requests are objects with an ``op`` and optional ``id`` (echoed back)::
      "input": [1, 1, 1, 1, 1, 0]}
     {"op": "submit", "target": "qutrit_tree", "backend": "trajectory",
      "noise": "SC", "trials": 50, "seed": 7, "wait": true}
+    {"op": "submit", "target": "qutrit_tree",
+     "build": {"num_controls": 6}, "pipeline": "hardware-grid-opt"}
     {"op": "status", "job": "job-000001"}
     {"op": "result", "job": "job-000001", "timeout": 30}
     {"op": "cancel", "job": "job-000001"}
@@ -24,6 +26,9 @@ Responses always carry ``ok``; failures add ``error`` (and
 ``traceback`` for FAILED jobs).  ``submit`` returns the job id and
 state; with ``"wait": true`` it blocks and inlines the serialized
 result (:func:`~repro.service.serialization.result_to_dict`).
+A ``pipeline`` is a registered name, resolved through
+:meth:`~repro.execution.PipelineSpec.from_name` (an unknown name is an
+``ok: false`` response).
 
 The loop is hardened against hostile or broken peers: a malformed or
 oversized request line gets a structured ``{"ok": false}`` response, an
@@ -42,6 +47,7 @@ import sys
 import threading
 from typing import Callable, Iterable, TextIO
 
+from ..execution.pipeline_spec import PipelineSpec
 from ..resilience.degradation import AdmissionError
 from ..resilience.faults import maybe_inject
 from ..resilience.retry import TransientServiceError
@@ -76,16 +82,30 @@ def _resolve_noise(name: str | None):
     return ALL_MODELS[name]
 
 
+def _resolve_pipeline(name: str | None) -> PipelineSpec | None:
+    """The registered spec behind a wire-format pipeline name."""
+    if name is None:
+        return None
+    if not isinstance(name, str):
+        raise ValueError(
+            f"pipeline must be a pipeline name, got "
+            f"{type(name).__name__}"
+        )
+    return PipelineSpec.from_name(name)
+
+
 def _submit(queue: JobQueue, request: dict) -> dict:
     target = request.get("target")
     if not target:
         raise ValueError("submit needs a 'target' (construction name)")
-    build = dict(request.get("build") or {})
+    build = request.get("build") or {}
+    if not isinstance(build, dict):
+        raise ValueError("'build' must be an object of builder parameters")
     initial = request.get("input")
     job = queue.submit(
         target,
         backend=request.get("backend", "statevector"),
-        pipeline=request.get("pipeline"),
+        pipeline=_resolve_pipeline(request.get("pipeline")),
         noise_model=_resolve_noise(request.get("noise")),
         initial=tuple(initial) if initial is not None else None,
         shots=request.get("shots"),

@@ -15,7 +15,8 @@
   :class:`~repro.execution.cache.ResultCache` LRU, optionally layered
   over a persistent :class:`~repro.service.store.ResultStore`, checked
   at submit time so repeated deterministic work completes without ever
-  touching a worker;
+  touching a worker; the same cache memoises each request's compiled
+  plan, so a hit pays no build, compile or fingerprint;
 * **backpressure** — the queue of distinct pending executions is
   bounded; overflow either rejects (:class:`QueueFullError`) or blocks
   the submitter until space frees, per the configured policy.
@@ -58,16 +59,12 @@ from typing import Callable, Mapping, Sequence
 
 from ..circuits.circuit import Circuit
 from ..execution.backends import Backend, resolve_backend
-from ..execution.cache import (
-    ResultCache,
-    cache_key_digest,
-    circuit_fingerprint,
-)
+from ..execution.cache import ResultCache, cache_key_digest
 from ..execution.facade import (
     execute,
-    materialize_target,
-    resolve_pipeline,
+    plan,
     result_cache_key,
+    run_identity,
 )
 from ..execution.results import RunResult
 from ..noise.model import NoiseModel
@@ -94,9 +91,9 @@ from .store import ResultStore
 class JobRequest:
     """One fully resolved execution: the circuit plus every run knob.
 
-    Built at submit time (targets are materialised and compiled up
-    front so the coalescing key exists before any worker runs), then
-    handed unchanged to the runner.
+    Built at submit time (targets are planned up front so the
+    coalescing key exists before any worker runs), then handed
+    unchanged to the runner.
     """
 
     circuit: Circuit
@@ -359,9 +356,11 @@ class JobQueue:
         aging), ``timeout`` (block-mode backpressure wait), and
         ``deadline`` (seconds of total budget, or a
         :class:`~repro.resilience.Deadline`; expiry lands the job in
-        TIMED_OUT).  The circuit is built and compiled here, on the
-        submitting thread, so the handle's coalescing key is final
-        before it is returned.
+        TIMED_OUT).  The circuit is planned here, on the submitting
+        thread, through :func:`repro.execution.facade.plan` (memoised
+        on :attr:`cache`, so a repeated request neither builds nor
+        compiles), and the handle's coalescing key is final before it
+        is returned.
 
         Raises :class:`~repro.service.QueueClosedError` after shutdown
         or drain, and :class:`~repro.resilience.AdmissionError` when
@@ -371,21 +370,13 @@ class JobQueue:
         if self._shutdown or not self._admitting:
             raise QueueClosedError("queue is shut down or draining")
         job_deadline = resolve_deadline(deadline)
-        compiled_pipeline = resolve_pipeline(pipeline)
         probe = resolve_backend(backend, noise_model)
-        circuit, preferred_wires = materialize_target(
-            target,
-            build_kwargs,
-            prefer_undecomposed=probe.capabilities.classical_circuits_only,
+        run_plan = plan(
+            target, build_kwargs, backend=probe, pipeline=pipeline,
+            cache=self.cache,
         )
-        if compiled_pipeline is not None:
-            circuit = compiled_pipeline.compile(circuit).circuit
-            if set(circuit.all_qudits()) != set(
-                preferred_wires or circuit.all_qudits()
-            ):
-                preferred_wires = None
-        job_wires = wires if wires is not None else preferred_wires
-        job_wires = tuple(job_wires) if job_wires is not None else None
+        circuit = run_plan.circuit
+        job_wires = tuple(wires) if wires is not None else run_plan.wires
         if not isinstance(initial, (StateVector, type(None))):
             initial = tuple(initial)
 
@@ -409,7 +400,6 @@ class JobQueue:
         if "batched-to-looped" in decision.downgrades:
             batch_size = 1
 
-        fingerprint = circuit_fingerprint(circuit)
         request = JobRequest(
             circuit=circuit,
             backend=backend,
@@ -423,34 +413,16 @@ class JobQueue:
             parallel=parallel,
             workers=workers,
         )
-        cache_key = result_cache_key(
-            fingerprint=fingerprint,
-            backend=probe,
-            noise_model=noise_model,
-            wires=job_wires,
-            initial=initial,
-            shots=shots,
-            trials=trials,
-            seed=seed,
-            batch_size=batch_size,
+        run = dict(
+            fingerprint=run_plan.fingerprint, backend=probe,
+            noise_model=noise_model, wires=job_wires, initial=initial,
+            shots=shots, trials=trials, seed=seed, batch_size=batch_size,
         )
+        cache_key = result_cache_key(**run)
         # The coalescing key covers the same run identity but exists
         # even for non-cacheable (unseeded stochastic) jobs: identical
         # in-flight submissions still share the one execution.
-        model = getattr(probe, "noise_model", None) or noise_model
-        key = cache_key_digest(
-            (
-                fingerprint,
-                probe.name,
-                model.name if model is not None else None,
-                job_wires,
-                None if isinstance(initial, StateVector) else initial,
-                shots,
-                trials,
-                seed,
-                batch_size,
-            )
-        )
+        key = cache_key_digest(run_identity(**run))
         label = target if isinstance(target, str) else type(target).__name__
         job = Job(key, submitter=submitter, priority=priority,
                   label=str(label), deadline=job_deadline)
@@ -795,6 +767,9 @@ class JobQueue:
             info["inflight"] = len(self._inflight)
             info["workers"] = len(self._threads)
             info["cache_entries"] = len(self.cache)
+            info["plans"] = self.cache.plan_count
+            info["plan_hits"] = self.cache.stats.plan_hits
+            info["plan_misses"] = self.cache.stats.plan_misses
             if self.store is not None:
                 info["store_entries"] = len(self.store)
                 info["store_bytes"] = self.store.total_bytes()

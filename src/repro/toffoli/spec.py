@@ -10,6 +10,7 @@ and benchmarks can verify semantics and count resources uniformly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,8 +35,16 @@ class GeneralizedToffoli:
     control_values: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.num_controls < 0:
+        try:
+            count = operator.index(self.num_controls)
+        except TypeError:
+            raise TypeError(
+                f"num_controls must be an integer, got "
+                f"{type(self.num_controls).__name__}"
+            ) from None
+        if count < 0:
             raise ValueError("num_controls must be non-negative")
+        object.__setattr__(self, "num_controls", count)
         if not self.control_values:
             object.__setattr__(
                 self, "control_values", (1,) * self.num_controls

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import warnings
 
 import pytest
 
@@ -173,3 +174,52 @@ class TestServeLines:
         assert by_id[1]["result"]["values"] == [1, 1, 1, 1]
         assert by_id[2]["stats"]["executed"] == 1
         assert by_id[3]["shutdown"] is True
+
+
+class TestSubmitInputs:
+    """Pipeline names and builder parameters arriving over the wire."""
+
+    def test_pipeline_name_resolves_without_deprecation(self, queue):
+        request = {"op": "submit", "wait": True, "target": "qutrit_tree",
+                   "build": {"num_controls": 3},
+                   "pipeline": "hardware-grid-opt"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            first = handle_request(queue, request)
+            second = handle_request(queue, request)
+        assert first["ok"] and second["ok"]
+        assert second["served_from"] == "memory"
+        stats = handle_request(queue, {"op": "stats"})["stats"]
+        assert stats["plans"] == 1
+        assert stats["plan_hits"] == 1
+
+    @pytest.mark.parametrize("pipeline", ["no-such-pipeline", 7, ["x"]])
+    def test_bad_pipeline_is_a_typed_error(self, queue, pipeline):
+        response = handle_request(queue, {
+            "op": "submit", "pipeline": pipeline, **TREE,
+        })
+        assert response["ok"] is False
+        assert "internal" not in response
+        assert "pipeline" in response["error"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            {"num_controls": [3]},
+            {"num_controls": 3.0},
+            {"num_controls": {"n": 3}},
+            {"num_controls": None},
+            [["num_controls", 3]],
+            "num_controls=3",
+        ],
+    )
+    def test_malformed_build_parameters_are_typed_errors(self, queue, build):
+        for _ in range(2):  # the second pass goes through the memo path
+            response = handle_request(queue, {
+                "op": "submit", "wait": True, **{**TREE, "build": build},
+            })
+            assert response["ok"] is False
+            assert "internal" not in response
+        # The queue keeps serving well-formed requests.
+        assert handle_request(queue, {"op": "submit", "wait": True,
+                                      **TREE})["ok"]

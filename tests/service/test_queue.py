@@ -10,9 +10,11 @@ import threading
 
 import pytest
 
+from repro.execution import CompilePipeline, PipelineSpec, execute
 from repro.execution.cache import ResultCache
 from repro.execution.results import RunResult
 from repro.qudits import qubits
+from repro.toffoli.registry import build_toffoli
 from repro.service import (
     JobCancelledError,
     JobFailedError,
@@ -167,6 +169,31 @@ class TestCoalescing:
         assert queue.stats.coalesced == 5
         # Every handle observes the same result object.
         assert all(r is results[0] for r in results)
+
+    def test_distinct_statevector_initials_never_coalesce(self):
+        """Two different initial states are two runs, even in flight."""
+        from repro.sim.state import StateVector
+
+        wires = build_toffoli("qutrit_tree", 3).all_wires
+        states = [StateVector.computational_basis(wires, values)
+                  for values in ((0, 0, 0, 0), (1, 1, 1, 0))]
+        runner = _BlockingRunner()
+        queue = JobQueue(workers=1, runner=runner)
+        try:
+            first = queue.submit("qutrit_tree", num_controls=3,
+                                 initial=states[0])
+            assert runner.started.wait(10)
+            second = queue.submit("qutrit_tree", num_controls=3,
+                                  initial=states[1])
+            again = queue.submit("qutrit_tree", num_controls=3,
+                                 initial=states[1])
+            assert second.served_from is None
+            assert second.key != first.key
+            assert again.served_from == "coalesced"
+        finally:
+            runner.release.set()
+            queue.shutdown(wait=True)
+        assert runner.calls == 2
 
     def test_followers_observe_leader_failure(self):
         runner_started = threading.Event()
@@ -407,3 +434,76 @@ class TestFairness:
             queue.shutdown(wait=True)
         # Round-robin: quiet's single job ran before chatty drained.
         assert order.index(99) < len(order) - 1
+
+
+class TestPlanMemo:
+    """Submissions plan through the facade's memo on ``queue.cache``."""
+
+    SPEC = PipelineSpec.from_name("hardware-line")
+    RUN = dict(num_controls=3, backend="statevector", shots=8)
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        calls = []
+        original = CompilePipeline.compile
+
+        def spy(self, circuit):
+            calls.append(self.name)
+            return original(self, circuit)
+
+        monkeypatch.setattr(CompilePipeline, "compile", spy)
+        return calls
+
+    def test_repeat_submission_never_compiles(self, compiles):
+        with JobQueue(workers=1) as queue:
+            first = queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                                 **self.RUN)
+            first.result(timeout=60)
+            hit = queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                               **self.RUN)
+            # A new seed misses the result cache but not the plan.
+            rerun = queue.submit("qutrit_tree", pipeline=self.SPEC, seed=2,
+                                 **self.RUN)
+            rerun.result(timeout=60)
+            info = queue.describe()
+        assert compiles == ["hardware-line"]
+        assert hit.served_from == "memory"
+        assert rerun.served_from is None
+        assert info["plans"] == 1
+        assert (info["plan_misses"], info["plan_hits"]) == (1, 2)
+
+    def test_clear_forgets_plans(self, compiles):
+        with JobQueue(workers=1) as queue:
+            queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                         **self.RUN).result(timeout=60)
+            queue.cache.clear()
+            assert queue.describe()["plans"] == 0
+            job = queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                               **self.RUN)
+            job.result(timeout=60)
+        assert len(compiles) == 2
+        assert job.served_from is None
+
+    def test_queues_share_plans_only_through_a_shared_cache(self, compiles):
+        shared = ResultCache()
+        for _ in range(2):
+            with JobQueue(workers=1, cache=shared) as queue:
+                queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                             **self.RUN).result(timeout=60)
+        with JobQueue(workers=1) as queue:
+            queue.submit("qutrit_tree", pipeline=self.SPEC, seed=1,
+                         **self.RUN).result(timeout=60)
+        assert len(compiles) == 2
+
+    def test_memoised_job_matches_direct_execute(self):
+        with JobQueue(workers=1) as queue:
+            jobs = [
+                queue.submit("qutrit_tree", pipeline=self.SPEC, seed=seed,
+                             **self.RUN)
+                for seed in (1, 2)
+            ]
+            served = jobs[1].result(timeout=60)
+        direct = execute("qutrit_tree", pipeline=self.SPEC, seed=2,
+                         cache=False, **self.RUN)
+        assert served.wires == direct.wires
+        assert served.measurements.counts() == direct.measurements.counts()
